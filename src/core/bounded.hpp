@@ -20,6 +20,9 @@
 /// object-space map is governed purely by y-extent. The z resolution never
 /// enters the pruning decision.
 
+#include <stdexcept>
+#include <string>
+
 #include "geometry/exactq.hpp"
 #include "support/check.hpp"
 
@@ -42,6 +45,21 @@ struct PixelBudget {
   i64 y_lo{0};       ///< window west bound (inclusive), |y_lo| <= 2*kMaxCoord
   i64 y_hi{1};       ///< window east bound (inclusive), y_lo < y_hi
   u32 y_samples{1};  ///< width*supersample, in [1, kMaxBudgetSamples]
+
+  /// Throws std::invalid_argument unless the field contracts above hold.
+  /// Solves call this on entry, so a malformed budget from a caller (a
+  /// service query, say) fails that one request instead of tripping the
+  /// BoundedPrune contract checks.
+  void validate() const {
+    if (y_samples < 1 || y_samples > kMaxBudgetSamples) {
+      throw std::invalid_argument("PixelBudget: y_samples must be in [1, " +
+                                  std::to_string(kMaxBudgetSamples) + "]");
+    }
+    if (y_lo >= y_hi) throw std::invalid_argument("PixelBudget: y_lo must be below y_hi");
+    if (y_lo < -2 * kMaxCoord || y_hi > 2 * kMaxCoord) {
+      throw std::invalid_argument("PixelBudget: window exceeds [-2*kMaxCoord, 2*kMaxCoord]");
+    }
+  }
 
   friend bool operator==(const PixelBudget&, const PixelBudget&) = default;
 };

@@ -58,6 +58,9 @@ void ensure_pct(detail::HsrContext& ctx, const HsrOptions& opt) {
 /// single-threaded driver uses.
 HsrResult solve_on(detail::HsrContext& ctx, detail::Workspace& ws, const Counters& prepare_work,
                    double order_s, const HsrOptions& opt, bool thread_scope) {
+  // Reject a malformed budget before any state changes: the throw fails
+  // this solve only (a QueryServer turns it into an Error reply).
+  if (opt.pixel_budget) opt.pixel_budget->validate();
   detail::Timer total;
   // Inside the timer: when this solve is the one that triggers the lazy
   // PCT build, its cost must show up in total_s (solve_batch pre-builds
@@ -73,7 +76,7 @@ HsrResult solve_on(detail::HsrContext& ctx, detail::Workspace& ws, const Counter
   const Counters before = thread_scope ? work::local_snapshot() : work::snapshot();
 
   // Resolution-bounded solve: one predicate instance, shared read-only by
-  // every thread of this solve (BoundedPrune validates the budget).
+  // every thread of this solve (validated above; BoundedPrune re-checks).
   std::optional<BoundedPrune> bounded;
   if (opt.pixel_budget) bounded.emplace(*opt.pixel_budget);
   const BoundedPrune* prune = bounded ? &*bounded : nullptr;
@@ -232,6 +235,8 @@ std::vector<HsrResult> HsrEngine::solve_batch(std::span<const HsrOptions> opts) 
   for (const HsrOptions& o : opts) {
     THSR_CHECK(o.threads == 0 && !o.backend);  // per-item executors are not representable
     ensure_pct(im.ctx, o);                     // before items share ctx read-only
+    // Reject a malformed budget here: thrown on a worker it would be fatal.
+    if (o.pixel_budget) o.pixel_budget->validate();
   }
 
   std::vector<std::optional<HsrResult>> tmp(opts.size());

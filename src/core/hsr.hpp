@@ -73,7 +73,9 @@ struct HsrOptions {
   /// (DESIGN.md section 1.12); k_pieces/treap_nodes/envelope work drop on
   /// sub-pixel-dense scenes. For a fixed algorithm the bounded map and its
   /// counters keep the backend/thread-count determinism contract. nullopt =
-  /// exact solve, bit-identical to a build without this field.
+  /// exact solve, bit-identical to a build without this field. A budget
+  /// failing PixelBudget::validate() makes the solve throw
+  /// std::invalid_argument before any work starts.
   std::optional<PixelBudget> pixel_budget{};
 };
 

@@ -6,8 +6,9 @@
 /// (exact comparisons, crossings found, persistent nodes created, oracle
 /// queries, envelope pieces touched) in thread-local buckets with negligible
 /// overhead. Any thread — OpenMP team member, pool worker, external caller —
-/// registers its bucket lazily on first count(); buckets outlive their
-/// threads so totals survive pool resizes. Benches E1/E3/E4/E8 report these
+/// registers its bucket lazily on first count(); an exiting thread's counts
+/// fold into a retired total, so totals survive pool resizes while the
+/// registry stays bounded by the live thread count. Benches E1/E3/E4/E8 report these
 /// counters against the claimed asymptotics, and bench_ci gates CI on them
 /// (they are exactly schedule-, backend-, and machine-independent).
 
@@ -66,10 +67,15 @@ struct Counters {
 namespace work {
 
 namespace detail {
-/// Slow path, once per thread: allocate this thread's counter block and
-/// register it with the global snapshot/reset registry (work_depth.cpp;
-/// blocks are never destroyed so totals survive thread exits).
+/// Slow path, once per thread: take a counter block (a recycled one when a
+/// thread has exited) and register it with the global snapshot/reset
+/// registry. At thread exit the block's counts fold into a retired total
+/// that snapshot() keeps reporting, and the block is recycled.
 Counters* register_thread() noexcept;
+
+/// Counter blocks currently registered: one per live thread that has
+/// counted (test hook for the bounded registry).
+std::size_t registered_threads() noexcept;
 
 /// The calling thread's counter block. The cached thread_local pointer
 /// keeps the inline count() below at a guard check, a TLS load and one

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <new>
+#include <type_traits>
 
 #include "parallel/work_depth.hpp"
 
@@ -11,21 +13,55 @@ namespace thsr {
 // Arena
 // ---------------------------------------------------------------------------
 
+// Block storage is left uninitialized: make() writes every field of a node
+// before its index is published, and PNode is an implicit-lifetime
+// aggregate, so the raw allocation already holds its nodes. Constructing
+// all 2^14 nodes up front would write the whole block — megabytes per fresh
+// arena — where a small solve touches only its first few pages.
+static_assert(std::is_aggregate_v<PNode> && std::is_trivially_destructible_v<PNode>);
+
 struct PArena::Block {
+  struct FreeNodes {
+    void operator()(PNode* p) const noexcept {
+      ::operator delete[](p, std::align_val_t{alignof(PNode)});
+    }
+  };
+
   explicit Block(u32 block_id) : id(block_id) {}
   const u32 id;  ///< block-table slot; fixed for the block's lifetime
-  std::unique_ptr<PNode[]> mem{new PNode[kBlockNodes]};
+  std::unique_ptr<PNode[], FreeNodes> mem{static_cast<PNode*>(
+      ::operator new[](sizeof(PNode) * kBlockNodes, std::align_val_t{alignof(PNode)}))};
 };
 
 struct PArena::ThreadSlot {
-  u32 base{0};                      ///< current block's id << kLog2BlockNodes
-  std::size_t used{kBlockNodes};    ///< force a fresh block on first alloc
-  std::atomic<u64> allocated{0};
+  explicit ThreadSlot(u64 owner_token) : owner(owner_token) {}
+  const u64 owner;                ///< token of the thread that allocates from it
+  u32 base{0};                    ///< current block's id << kLog2BlockNodes
+  u32 used{kBlockNodes};          ///< force a fresh block on first alloc
+  std::atomic<u64> allocated{0};  ///< written by the owner only; read under mu_
+};
+
+/// The calling thread's one-entry slot cache. Arena ids and thread tokens
+/// are never recycled, so an entry left behind by a destroyed arena can
+/// never match a live one and its dangling slot pointer is never followed.
+struct PArena::SlotCache {
+  u64 arena{0};               ///< id of the arena `slot` belongs to; 0 = empty
+  ThreadSlot* slot{nullptr};  ///< this thread's slot in that arena
+  u64 token{0};               ///< this thread's identity in slot tables; 0 = not drawn
 };
 
 u64 PArena::next_id() noexcept {
   static std::atomic<u64> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+PArena::SlotCache& PArena::slot_cache() noexcept {
+  thread_local SlotCache c;  // constant-initialized: no guard on access
+  return c;
+}
+
+std::size_t PArena::cached_slots_this_thread() noexcept {
+  return slot_cache().arena != 0 ? 1 : 0;
 }
 
 PArena::PArena() : table_(new PNode*[kMaxBlocks]) {}
@@ -36,22 +72,29 @@ PArena::~PArena() {
 }
 
 PArena::ThreadSlot& PArena::local_slot() {
-  // One slot per (thread, arena) pair, looked up through a thread-local map
-  // keyed by the arena's unique generation id — NOT its address, which the
-  // allocator may reuse for a later arena after destruction. Stale entries
-  // for dead arenas are never looked up again (ids are never recycled) and
-  // cost only a map entry each.
-  thread_local std::vector<std::pair<u64, ThreadSlot*>> tl_slots;
-  for (auto& [id, slot] : tl_slots) {
-    if (id == id_) return *slot;
-  }
-  auto* fresh = new ThreadSlot();
+  SlotCache& c = slot_cache();
+  if (c.arena == id_) [[likely]] return *c.slot;
+  // Miss: find this thread's slot among the arena's own, or open one.
+  // Tokens come from the arena-id sequence: unique across threads, unlike
+  // std::thread::id, which a later thread may inherit.
+  if (c.token == 0) c.token = next_id();
+  ThreadSlot* mine = nullptr;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    slots_.push_back(fresh);
+    for (ThreadSlot* s : slots_) {
+      if (s->owner == c.token) {
+        mine = s;
+        break;
+      }
+    }
+    if (!mine) {
+      mine = new ThreadSlot(c.token);
+      slots_.push_back(mine);
+    }
   }
-  tl_slots.emplace_back(id_, fresh);
-  return *fresh;
+  c.arena = id_;
+  c.slot = mine;
+  return *mine;
 }
 
 u32 PArena::alloc() {
@@ -73,9 +116,11 @@ u32 PArena::alloc() {
     s.base = b->id << kLog2BlockNodes;
     s.used = 0;
   }
-  s.allocated.fetch_add(1, std::memory_order_relaxed);
+  // Only the owning thread writes `allocated`, so a relaxed load and store
+  // suffice: no lock-prefixed read-modify-write on the per-node path.
+  s.allocated.store(s.allocated.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   work::count(Op::TreapNode);
-  return s.base | static_cast<u32>(s.used++);
+  return s.base | s.used++;
 }
 
 void PArena::reset() {
@@ -105,6 +150,11 @@ u64 PArena::allocated() const noexcept {
 u64 PArena::footprint_bytes() const noexcept {
   std::lock_guard<std::mutex> lk(mu_);
   return blocks_.size() * (sizeof(Block) + sizeof(PNode) * kBlockNodes);
+}
+
+std::size_t PArena::thread_slots() const noexcept {
+  std::lock_guard<std::mutex> lk(mu_);
+  return slots_.size();
 }
 
 // ---------------------------------------------------------------------------

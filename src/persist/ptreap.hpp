@@ -96,6 +96,15 @@ struct PNode {
 /// Thread-safe: each thread fills its own blocks; the arena owns all memory
 /// until destruction (versions are only valid while their arena lives).
 ///
+/// Per-thread bump state lives in *slots owned by the arena* — one per
+/// thread that ever allocated from it, freed with the arena. A thread finds
+/// its slot through a one-entry thread-local cache keyed by the arena's
+/// never-recycled id, so alloc() on a cache hit is a pure bump: no scan, no
+/// lock, no atomic read-modify-write. A miss (first touch, or the thread
+/// switched arenas) takes the arena's mutex and searches only that arena's
+/// own slots. Per-thread bookkeeping is therefore one cache entry no matter
+/// how many arenas the thread has outlived (DESIGN.md section 1.9).
+///
 /// An arena is reusable across runs: reset() retains every block it ever
 /// allocated and rewinds the bump pointers, so a rebuild that fits in the
 /// prior footprint performs zero heap allocations (allocated() is the churn
@@ -117,7 +126,8 @@ class PArena {
   PArena& operator=(const PArena&) = delete;
   ~PArena();
 
-  /// Allocate one node; returns its arena index.
+  /// Allocate one node; returns its arena index. The node's fields are
+  /// uninitialized until the caller writes them through node_mut().
   u32 alloc();
 
   /// The node at `idx` (read-only: published nodes are immutable).
@@ -150,9 +160,19 @@ class PArena {
   /// resident-footprint gauge of the timed bench lane.
   u64 footprint_bytes() const noexcept;
 
+  /// Threads that have allocated from this arena (its slot count).
+  std::size_t thread_slots() const noexcept;
+
+  /// Entries in the calling thread's slot cache: 0 before its first
+  /// alloc(), 1 afterwards, however many arenas it has used (test hook for
+  /// the bounded per-thread bookkeeping).
+  static std::size_t cached_slots_this_thread() noexcept;
+
  private:
   struct Block;
   struct ThreadSlot;
+  struct SlotCache;
+  static SlotCache& slot_cache() noexcept;
   ThreadSlot& local_slot();
 
   mutable std::mutex mu_;

@@ -120,17 +120,18 @@ DepthOrder compute_depth_order(const Terrain& t) {
   }
   THSR_CHECK(active.empty());
 
-  // Deterministic Kahn topological sort (min edge id first).
-  std::vector<std::vector<u32>> out(n);
+  // Deterministic Kahn topological sort (min edge id first). Sorted and
+  // deduplicated, the arcs leaving each edge form one contiguous run, so
+  // they are indexed in place, CSR-style: arcs[first[u], first[u + 1]).
+  std::sort(arcs.begin(), arcs.end());
+  arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  std::vector<std::size_t> first(n + 1, 0);
   std::vector<u32> indeg(n, 0);
-  {
-    std::sort(arcs.begin(), arcs.end());
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-    for (auto [u, v] : arcs) {
-      out[u].push_back(v);
-      ++indeg[v];
-    }
+  for (auto [u, v] : arcs) {
+    ++first[u + 1];
+    ++indeg[v];
   }
+  for (u32 e = 0; e < n; ++e) first[e + 1] += first[e];
   DepthOrder d;
   d.constraints = arcs.size();
   d.order.reserve(n);
@@ -142,7 +143,8 @@ DepthOrder compute_depth_order(const Terrain& t) {
     const u32 e = ready.top();
     ready.pop();
     d.order.push_back(e);
-    for (u32 v : out[e]) {
+    for (std::size_t a = first[e]; a < first[e + 1]; ++a) {
+      const u32 v = arcs[a].second;
       if (--indeg[v] == 0) ready.push(v);
     }
   }

@@ -57,6 +57,8 @@ struct QueryServer::Impl {
             "QueryServer: per-query threads/backend are not configurable — each query runs "
             "serially on its worker");
       }
+      // Before acquire: a malformed budget must not cost a cold prepare.
+      if (item.query.solve.pixel_budget) item.query.solve.pixel_budget->validate();
       const std::shared_ptr<PreparedView> view =
           cache.acquire(item.query.terrain_id, item.query.viewpoint, &reply.cache_hit);
       const Clock::time_point solve_start = Clock::now();

@@ -42,7 +42,8 @@ namespace thsr::service {
 /// engine preparation is budget-independent, so exact and bounded
 /// queries against the same (terrain, viewpoint) share one cache entry,
 /// and a bounded reply rasterizes bit-identically to the exact one at
-/// the budget's matching resolution.
+/// the budget's matching resolution. A budget that fails
+/// PixelBudget::validate() gets an Error reply; the server keeps serving.
 struct Query {
   u64 terrain_id{0};
   Viewpoint viewpoint{};

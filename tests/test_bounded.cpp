@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "core/engine.hpp"
@@ -111,6 +112,34 @@ TEST(BoundedPruneDeathTest, RejectsInvalidBudgets) {
   EXPECT_DEATH(BoundedPrune(PixelBudget{0, 1, 0}), "y_samples");
   EXPECT_DEATH(BoundedPrune(PixelBudget{0, 1, kMaxBudgetSamples + 1}), "y_samples");
   EXPECT_DEATH(BoundedPrune(PixelBudget{-(i64{1} << 40), 1, 8}), "kMaxCoord");
+}
+
+TEST(PixelBudgetValidate, ThrowsOnTheContractViolationsBoundedPruneChecks) {
+  EXPECT_NO_THROW(PixelBudget{}.validate());
+  EXPECT_NO_THROW((PixelBudget{-2 * kMaxCoord, 2 * kMaxCoord, kMaxBudgetSamples}.validate()));
+  EXPECT_THROW((PixelBudget{5, 5, 8}.validate()), std::invalid_argument);
+  EXPECT_THROW((PixelBudget{6, 5, 8}.validate()), std::invalid_argument);
+  EXPECT_THROW((PixelBudget{0, 1, 0}.validate()), std::invalid_argument);
+  EXPECT_THROW((PixelBudget{0, 1, kMaxBudgetSamples + 1}.validate()), std::invalid_argument);
+  EXPECT_THROW((PixelBudget{-(i64{1} << 40), 1, 8}.validate()), std::invalid_argument);
+  EXPECT_THROW((PixelBudget{0, i64{1} << 40, 8}.validate()), std::invalid_argument);
+}
+
+TEST(PixelBudgetValidate, SolvesRejectMalformedBudgetsAndStayUsable) {
+  const Terrain t = make_terrain({.family = Family::Fbm, .grid = 8, .seed = 2});
+  HsrEngine engine;
+  engine.prepare(t);
+  const HsrOptions bad{.pixel_budget = PixelBudget{0, 100, 0}};
+  EXPECT_THROW((void)engine.solve(bad), std::invalid_argument);
+  EXPECT_THROW((void)engine.solve_scoped(bad), std::invalid_argument);
+  // The batch rejects before fanning out, so no worker thread ever throws.
+  const std::vector<HsrOptions> batch{HsrOptions{}, bad};
+  EXPECT_THROW((void)engine.solve_batch(batch), std::invalid_argument);
+  // The engine still answers: same result as a fresh one.
+  const HsrResult after = engine.solve();
+  const HsrResult fresh = hidden_surface_removal(t);
+  EXPECT_FALSE(fresh.map.first_difference(after.map).has_value());
+  EXPECT_EQ(after.stats.work, fresh.stats.work);
 }
 
 // ------------------------------------------------------- raster identity

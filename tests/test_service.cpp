@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "parallel/work_depth.hpp"
 #include "raster/raster.hpp"
 #include "service/query_server.hpp"
 #include "terrain/generators.hpp"
@@ -522,6 +523,82 @@ TEST(QueryServerTest, BadQueriesYieldErrorRepliesNotCrashes) {
   const QueryServer::Stats s = server.stats();
   EXPECT_EQ(s.completed, u64{4});
   EXPECT_EQ(s.errors, u64{3});
+}
+
+TEST(QueryServerTest, MalformedPixelBudgetYieldsErrorReplyNotAbort) {
+  const auto t = make_shared_terrain(Family::Fbm, 8);
+  QueryServer server({.workers = 1});
+  server.add_terrain(1, t);
+
+  std::vector<QueryReply> replies;
+  std::mutex mu;
+  const auto collect = [&](QueryReply&& r) {
+    const std::lock_guard<std::mutex> lk(mu);
+    replies.push_back(std::move(r));
+  };
+  // In turn: no samples, too many samples, an empty window, a reversed
+  // window, and windows past the coordinate range on either side.
+  std::vector<PixelBudget> bad;
+  bad.push_back({0, 100, 0});
+  bad.push_back({0, 100, kMaxBudgetSamples + 1});
+  bad.push_back({50, 50, 8});
+  bad.push_back({60, 10, 8});
+  bad.push_back({-2 * kMaxCoord - 1, 0, 8});
+  bad.push_back({0, 2 * kMaxCoord + 1, 8});
+  u64 tag = 0;
+  for (const PixelBudget& b : bad) {
+    Query q{.terrain_id = 1, .tag = tag++};
+    q.solve.pixel_budget = b;
+    ASSERT_TRUE(server.submit(q, collect));
+  }
+  // A good bounded query after the bad ones: the worker survived.
+  const u64 good = tag;
+  Query q{.terrain_id = 1, .tag = good};
+  q.solve.pixel_budget = PixelBudget{-100, 100, 64};
+  ASSERT_TRUE(server.submit(q, collect));
+  server.drain();
+
+  ASSERT_EQ(replies.size(), bad.size() + 1);
+  for (const QueryReply& r : replies) {
+    if (r.tag == good) {
+      EXPECT_EQ(r.status, QueryStatus::Ok) << r.error;
+      EXPECT_TRUE(r.result.has_value());
+    } else {
+      EXPECT_EQ(r.status, QueryStatus::Error) << "tag " << r.tag;
+      EXPECT_NE(r.error.find("PixelBudget"), std::string::npos) << r.error;
+      EXPECT_FALSE(r.result.has_value());
+    }
+  }
+  EXPECT_EQ(server.stats().errors, u64{bad.size()});
+  // The rejected budgets never reached the cache: one miss, for the good query.
+  EXPECT_EQ(server.cache().stats().misses, u64{1});
+}
+
+TEST(QueryServerTest, WorkRegistryStaysBoundedAcrossServerRestarts) {
+  // Every server start spawns worker threads that count work and exit at
+  // stop(). Their counts must survive in snapshot() while their registry
+  // blocks are recycled: the registry tracks live threads, not all threads.
+  const auto t = make_shared_terrain(Family::Fbm, 6);
+  work::count(Op::ExactCmp, 0);  // register the calling thread up front
+  const std::size_t registered_before = work::detail::registered_threads();
+  std::size_t registered_peak = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    const Counters before = work::snapshot();
+    std::optional<QueryReply> reply;
+    {
+      QueryServer server({.workers = 2});
+      server.add_terrain(1, t);
+      ASSERT_TRUE(server.submit(Query{.terrain_id = 1}, [&](QueryReply&& r) { reply = r; }));
+      server.drain();
+      registered_peak = std::max(registered_peak, work::detail::registered_threads());
+    }  // joins the workers: their blocks retire here
+    ASSERT_TRUE(reply && reply->result) << "cycle " << cycle;
+    Counters delta = work::snapshot();
+    delta -= before;
+    ASSERT_EQ(delta, reply->result->stats.work) << "cycle " << cycle;
+  }
+  EXPECT_LE(registered_peak, registered_before + 2);  // at most this server's two workers
+  EXPECT_EQ(work::detail::registered_threads(), registered_before);
 }
 
 TEST(QueryServerTest, NonBlockingSubmitDropsWhenFull) {

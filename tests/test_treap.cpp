@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <thread>
 
+#include "core/engine.hpp"
+#include "parallel/backend.hpp"
 #include "persist/ptreap.hpp"
+#include "terrain/generators.hpp"
 #include "test_util.hpp"
 
 namespace thsr {
@@ -228,6 +232,107 @@ TEST(PTreap, NodeCountGrowsLogarithmicallyPerSplice) {
   // ~O(log n) path copies per splice; generous ceiling to avoid flakiness.
   EXPECT_LT(per_splice, 80.0);
   EXPECT_EQ(ptreap::count(t), 256u * 2 + 1);  // alternating piece/floor + tail
+}
+
+// ---------------------------------------------------------------------------
+// Thread-slot bookkeeping: O(1) per thread, owned and freed by the arena.
+// ---------------------------------------------------------------------------
+
+struct ArenaFigures {
+  u64 nodes{0};
+  u64 blocks{0};
+  std::size_t slots{0};
+};
+
+// One fixed splice history in a fresh arena, on the calling thread.
+ArenaFigures build_in_fresh_arena() {
+  PArena arena;
+  const auto segs = wide_segments(29, 4);
+  ptreap::Ref t = ptreap::make_floor(arena);
+  for (int i = 0; i < 2000; ++i) {
+    const PieceData p{QY::of(-900 + i % 600 * 3), QY::of(-900 + i % 600 * 3 + 2),
+                      static_cast<u32>(i % 4)};
+    t = ptreap::replace_range(arena, t, p.y0, p.y1, std::span(&p, 1), segs);
+  }
+  ptreap::validate(t, segs);
+  return {arena.node_count(), arena.allocated(), arena.thread_slots()};
+}
+
+TEST(PArenaSlots, ThreadBookkeepingStaysConstantAcrossArenaChurn) {
+  ArenaFigures clean, after_churn;
+  std::size_t entries_before = 0, entries_after_churn = 0;
+  std::thread([&] { clean = build_in_fresh_arena(); }).join();
+  std::thread([&] {
+    entries_before = PArena::cached_slots_this_thread();
+    for (int i = 0; i < 10000; ++i) {
+      PArena dead;
+      (void)ptreap::make_floor(dead);
+    }
+    entries_after_churn = PArena::cached_slots_this_thread();
+    after_churn = build_in_fresh_arena();
+  }).join();
+
+  EXPECT_EQ(entries_before, 0u);
+  EXPECT_EQ(entries_after_churn, 1u);  // 10k dead arenas leave one cache entry
+  // A fresh arena after the churn behaves exactly as on a clean thread.
+  EXPECT_EQ(after_churn.nodes, clean.nodes);
+  EXPECT_EQ(after_churn.blocks, clean.blocks);
+  EXPECT_EQ(after_churn.slots, 1u);
+  EXPECT_EQ(clean.slots, 1u);
+}
+
+TEST(PArenaSlots, AlternatingArenasOnOneThreadKeepOneSlotEach) {
+  // Every switch misses the one-entry cache and must find the thread's
+  // existing slot in the arena's own table, not open a second one.
+  PArena a, b, c;
+  PArena* arenas[] = {&a, &b, &c};
+  std::vector<u32> got[3];
+  for (int i = 0; i < 3 * 40000; ++i) got[i % 3].push_back(arenas[i % 3]->alloc());
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(arenas[k]->thread_slots(), 1u);
+    EXPECT_EQ(arenas[k]->node_count(), 40000u);
+    EXPECT_EQ(arenas[k]->allocated(), 3u);  // ceil(40000 / 2^14) blocks
+    // Each arena's indices are a pure bump: 0, 1, 2, ...
+    for (u32 j = 0; j < 40000; ++j) ASSERT_EQ(got[k][j], j) << "arena " << k;
+  }
+  EXPECT_EQ(PArena::cached_slots_this_thread(), 1u);
+}
+
+TEST(PArenaSlots, ConcurrentFirstTouchFromPoolWorkers) {
+  const par::ScopedConfig cfg(4, par::Backend::Pool);
+  PArena arena;
+  constexpr i64 kAllocs = 20000;
+  std::vector<u32> idx(kAllocs);
+  par::parallel_for(kAllocs, [&](i64 i) { idx[static_cast<std::size_t>(i)] = arena.alloc(); }, 64);
+  EXPECT_EQ(arena.node_count(), static_cast<u64>(kAllocs));
+  EXPECT_GE(arena.thread_slots(), 1u);
+  EXPECT_LE(arena.thread_slots(), 5u);  // the workers plus the calling thread
+  std::sort(idx.begin(), idx.end());
+  EXPECT_EQ(std::adjacent_find(idx.begin(), idx.end()), idx.end());  // no index handed out twice
+}
+
+TEST(PArenaSlots, FreshEnginesAtP4KeepTheirCounters) {
+  // Every solve gets a new engine, hence a new arena, so a thread's cache
+  // misses on each. The counters are pinned: they are the values the
+  // scan-based slot lookup this replaced produced on the same input.
+  GenOptions g;
+  g.family = Family::Fbm;
+  g.grid = 24;
+  g.seed = 3;
+  const Terrain t = make_terrain(g);
+  const HsrOptions opt{.algorithm = Algorithm::Parallel, .threads = 4,
+                       .backend = par::Backend::Pool};
+  for (int i = 0; i < 100; ++i) {
+    HsrEngine engine;
+    engine.prepare(t);
+    const HsrResult r = engine.solve(opt);
+    ASSERT_EQ(r.stats.work.total(), 57654u) << "engine " << i;
+    ASSERT_EQ(r.stats.work[Op::TreapNode], 18631u) << "engine " << i;
+    ASSERT_EQ(r.stats.treap_nodes, 18631u) << "engine " << i;
+    ASSERT_EQ(r.stats.k_pieces, 588u) << "engine " << i;
+    ASSERT_EQ(r.stats.k_crossings, 149u) << "engine " << i;
+    ASSERT_EQ(engine.arena_nodes(), 18631u) << "engine " << i;
+  }
 }
 
 }  // namespace
