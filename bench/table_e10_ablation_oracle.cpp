@@ -13,7 +13,6 @@
 #include "cg/profile_query.hpp"
 #include "envelope/build.hpp"
 #include "parallel/work_depth.hpp"
-#include "test_support_random.hpp"
 
 namespace {
 

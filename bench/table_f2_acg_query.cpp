@@ -10,6 +10,7 @@
 #include "bench_util.hpp"
 #include "cg/all_crossings.hpp"
 #include "envelope/build.hpp"
+#include "parallel/work_depth.hpp"
 
 int main() {
   using namespace thsr;
@@ -44,10 +45,10 @@ int main() {
       queries.push_back(a < b ? Seg2{a, za, b, zb} : Seg2{b, zb, a, za});
     }
 
-    tree.reset_stats();
+    const u64 steps_before = work::local_snapshot()[Op::OracleStep];
     for (const Seg2& q : queries) (void)tree.first_crossing(q, QY::of(q.u0), QY::of(q.u1));
-    const double visits =
-        static_cast<double>(tree.nodes_visited()) / static_cast<double>(queries.size());
+    const u64 steps = work::local_snapshot()[Op::OracleStep] - steps_before;
+    const double visits = static_cast<double>(steps) / static_cast<double>(queries.size());
 
     const auto time_us = [&](auto&& fn) {
       const auto t0 = std::chrono::steady_clock::now();

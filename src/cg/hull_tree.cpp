@@ -49,7 +49,6 @@ template <bool Leftmost>
 std::optional<CrossHit> HullTree::search(std::size_t node, const Seg2& s, const QY& from,
                                          const QY& to) const {
   const Node& n = nodes_[node];
-  ++visited_;
   work::count(Op::OracleStep);
   const EnvPiece& first = env_->piece(n.lo);
   const EnvPiece& last = env_->piece(n.hi - 1);

@@ -12,7 +12,8 @@
 /// subtrees whose chains leave the answer open, taking the leftmost hit —
 /// O(log^2 m) on chain-separable inputs, exact always (chains are
 /// conservative in double precision; piece-level decisions are exact
-/// rational predicates). Build: O(m log m) time and space.
+/// rational predicates). Build: O(m log m) time and space. Each node a
+/// query visits counts one Op::OracleStep on the calling thread.
 ///
 /// The structure is static, matching the paper's key design move: "the
 /// underlying data-structure is static although it has to be rebuilt a
@@ -44,10 +45,6 @@ class HullTree {
 
   std::size_t size() const noexcept { return env_->size(); }
 
-  /// Tree nodes visited by queries since construction (instrumentation).
-  u64 nodes_visited() const noexcept { return visited_; }
-  void reset_stats() const noexcept { visited_ = 0; }
-
  private:
   struct Node {
     std::size_t lo{0}, hi{0};  // piece index range [lo, hi)
@@ -65,7 +62,6 @@ class HullTree {
   std::span<const Seg2> segs_;
   std::vector<Node> nodes_;
   std::size_t root_{0};
-  mutable u64 visited_{0};
 };
 
 }  // namespace thsr

@@ -16,9 +16,8 @@
 ///                 substrate, PCT phase 1 (intermediate envelopes), PCT
 ///                 phase 2 (systolic prefix merging over persistent profile
 ///                 versions). Work O((n+k)·polylog n), span polylog; realized
-///                 on a runtime-selectable fork-join backend — serial,
-///                 OpenMP, or the native work-stealing pool (DESIGN.md
-///                 section 1.1).
+///                 on a runtime-selectable fork-join backend — the native
+///                 work-stealing pool, or serial (DESIGN.md section 1.1).
 ///
 /// Example:
 /// \code

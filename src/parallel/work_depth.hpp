@@ -5,7 +5,7 @@
 /// directly, so the library counts the operations that dominate each bound
 /// (exact comparisons, crossings found, persistent nodes created, oracle
 /// queries, envelope pieces touched) in thread-local buckets with negligible
-/// overhead. Any thread — OpenMP team member, pool worker, external caller —
+/// overhead. Any thread — pool worker or external caller —
 /// registers its bucket lazily on first count(); an exiting thread's counts
 /// fold into a retired total, so totals survive pool resizes while the
 /// registry stays bounded by the live thread count. Benches E1/E3/E4/E8 report these

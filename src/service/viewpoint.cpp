@@ -1,6 +1,7 @@
 #include "service/viewpoint.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,6 +13,12 @@ Viewpoint canonical(const Viewpoint& vp) {
   }
   if (vp.elev_den == 0) {
     throw std::invalid_argument("Viewpoint: elevation denominator must be nonzero");
+  }
+  // INT64_MIN has no i64 negation or absolute value, which the reduction
+  // below takes of every component.
+  constexpr i64 kMin = std::numeric_limits<i64>::min();
+  if (vp.dir_x == kMin || vp.dir_y == kMin || vp.elev_num == kMin || vp.elev_den == kMin) {
+    throw std::invalid_argument("Viewpoint: components must be greater than INT64_MIN");
   }
   Viewpoint c = vp;
   const i64 g = std::gcd(std::abs(c.dir_x), std::abs(c.dir_y));

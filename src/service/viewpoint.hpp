@@ -51,8 +51,8 @@ struct Viewpoint {
 /// what the observer sees, but it *does* change the transformed integer
 /// coordinates — so every path (cache keys, cross-checks, transforms)
 /// canonicalizes first, making equal viewpoints produce identical terrains
-/// bit for bit. Throws std::invalid_argument on a zero direction or a zero
-/// elevation denominator.
+/// bit for bit. Throws std::invalid_argument on a zero direction, a zero
+/// elevation denominator, or any component equal to INT64_MIN.
 Viewpoint canonical(const Viewpoint& vp);
 
 /// True when `vp` (canonicalized) is the canonical frame itself — the

@@ -98,10 +98,11 @@ TEST(HullTree, QueryCostIsLogarithmicOnSeparableInputs) {
   }
   const Envelope env = envelope_of(test::iota_ids(segs.size()), segs);
   const HullTree tree(env, segs);
-  tree.reset_stats();
   const Seg2 q{0, 3000, 4 * m, 5000};
+  const u64 before = work::local_snapshot()[Op::OracleStep];
   (void)tree.first_crossing(q, QY::of(0), QY::of(4 * m));
-  EXPECT_LT(tree.nodes_visited(), 30 * 12u * 12u);  // generous polylog ceiling
+  const u64 visited = work::local_snapshot()[Op::OracleStep] - before;
+  EXPECT_LT(visited, 30 * 12u * 12u);  // generous polylog ceiling
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <future>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -572,6 +573,49 @@ TEST(QueryServerTest, MalformedPixelBudgetYieldsErrorReplyNotAbort) {
   EXPECT_EQ(server.stats().errors, u64{bad.size()});
   // The rejected budgets never reached the cache: one miss, for the good query.
   EXPECT_EQ(server.cache().stats().misses, u64{1});
+}
+
+TEST(QueryServerTest, Int64MinViewpointYieldsErrorReplyNotOverflow) {
+  // Negating or taking |.| of INT64_MIN is undefined: canonical() must
+  // reject it before reducing, so each such query becomes an Error reply.
+  const auto t = make_shared_terrain(Family::Fbm, 8);
+  QueryServer server({.workers = 1});
+  server.add_terrain(1, t);
+
+  std::vector<QueryReply> replies;
+  std::mutex mu;
+  const auto collect = [&](QueryReply&& r) {
+    const std::lock_guard<std::mutex> lk(mu);
+    replies.push_back(std::move(r));
+  };
+  constexpr i64 kMin = std::numeric_limits<i64>::min();
+  const std::vector<Viewpoint> bad{
+      {.dir_x = kMin, .dir_y = 0},
+      {.dir_x = 1, .dir_y = kMin},
+      {.dir_x = 1, .dir_y = 0, .elev_num = kMin, .elev_den = 1},
+      {.dir_x = 1, .dir_y = 0, .elev_num = 1, .elev_den = kMin},
+  };
+  u64 tag = 0;
+  for (const Viewpoint& vp : bad) {
+    ASSERT_TRUE(server.submit(Query{.terrain_id = 1, .viewpoint = vp, .tag = tag++}, collect));
+  }
+  // A good query after the bad ones: the worker survived.
+  const u64 good = tag;
+  ASSERT_TRUE(server.submit(Query{.terrain_id = 1, .tag = good}, collect));
+  server.drain();
+
+  ASSERT_EQ(replies.size(), bad.size() + 1);
+  for (const QueryReply& r : replies) {
+    if (r.tag == good) {
+      EXPECT_EQ(r.status, QueryStatus::Ok) << r.error;
+      EXPECT_TRUE(r.result.has_value());
+    } else {
+      EXPECT_EQ(r.status, QueryStatus::Error) << "tag " << r.tag;
+      EXPECT_NE(r.error.find("INT64_MIN"), std::string::npos) << r.error;
+      EXPECT_FALSE(r.result.has_value());
+    }
+  }
+  EXPECT_EQ(server.stats().errors, u64{bad.size()});
 }
 
 TEST(QueryServerTest, WorkRegistryStaysBoundedAcrossServerRestarts) {
